@@ -156,19 +156,10 @@ impl Decoder {
     }
 
     /// Scan a capture (complex baseband at 2 Msps) starting at absolute
-    /// time `capture_start_s`, returning every frame that passes parity.
-    /// Thin allocating wrapper over [`Decoder::scan_with`].
-    pub fn scan(&self, iq: &[Cplx], capture_start_s: f64) -> Vec<DecodedMessage> {
-        let mut scratch = DecodeScratch::default();
-        let mut out = Vec::new();
-        self.scan_with(iq, capture_start_s, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`Decoder::scan`] with caller-owned working memory: intermediate
-    /// buffers live in `scratch` and decoded messages land in `out`
-    /// (cleared first). Reusing both across captures keeps the steady-state
-    /// scan loop allocation-free. Output is identical to [`Decoder::scan`].
+    /// time `capture_start_s`: every frame that passes parity lands in
+    /// `out` (cleared first). Intermediate buffers live in `scratch`;
+    /// reusing both across captures keeps the steady-state scan loop
+    /// allocation-free.
     pub fn scan_with(
         &self,
         iq: &[Cplx],
@@ -200,7 +191,7 @@ impl Decoder {
             if idx + SHORT_FRAME_SAMPLES > iq.len() {
                 continue;
             }
-            if let Ok(msg) = self.try_decode_at_with(iq, idx, capture_start_s, scratch) {
+            if let Ok(msg) = self.decode_at(iq, idx, capture_start_s, scratch) {
                 out.push(msg);
             }
         }
@@ -211,19 +202,7 @@ impl Decoder {
     /// first 5 bits to learn the downlink format (as dump1090 does), pick
     /// the 56- or 112-bit length accordingly, then parity-check with
     /// CRC-guided repair of up to `max_repaired_bits` low-confidence bits.
-    pub fn try_decode_at(
-        &self,
-        iq: &[Cplx],
-        idx: usize,
-        capture_start_s: f64,
-    ) -> Result<DecodedMessage, AdsbError> {
-        let mut scratch = DecodeScratch::default();
-        self.try_decode_at_with(iq, idx, capture_start_s, &mut scratch)
-    }
-
-    /// [`Decoder::try_decode_at`] using caller-owned working memory; the
-    /// allocation-free core the scan loop runs on.
-    pub fn try_decode_at_with(
+    fn decode_at(
         &self,
         iq: &[Cplx],
         idx: usize,
@@ -368,6 +347,13 @@ mod tests {
         )
     }
 
+    /// One scan with fresh scratch.
+    fn scan(decoder: &Decoder, iq: &[Cplx], capture_start_s: f64) -> Vec<DecodedMessage> {
+        let mut out = Vec::new();
+        decoder.scan_with(iq, capture_start_s, &mut DecodeScratch::default(), &mut out);
+        out
+    }
+
     fn add_noise(iq: &mut [Cplx], sigma: f64, seed: u64) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for s in iq.iter_mut() {
@@ -386,7 +372,7 @@ mod tests {
         capture[700..700 + FRAME_SAMPLES].copy_from_slice(&burst);
         add_noise(&mut capture, 0.02, 1);
 
-        let msgs = Decoder::default().scan(&capture, 10.0);
+        let msgs = scan(&Decoder::default(), &capture, 10.0);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].frame, ModeSFrame::Extended(frame));
         assert_eq!(msgs[0].sample_index, 700);
@@ -405,7 +391,7 @@ mod tests {
             .copy_from_slice(&ppm::modulate(&f2.encode(), 0.6, 2.0));
         add_noise(&mut capture, 0.02, 2);
 
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert_eq!(msgs.len(), 2);
         let icaos: Vec<u32> = msgs.iter().map(|m| m.frame.icao().value()).collect();
         assert!(icaos.contains(&0x111111) && icaos.contains(&0x222222));
@@ -450,7 +436,7 @@ mod tests {
     fn pure_noise_yields_nothing() {
         let mut capture = vec![Cplx::ZERO; 10_000];
         add_noise(&mut capture, 0.1, 3);
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert!(msgs.is_empty(), "got {} phantom messages", msgs.len());
     }
 
@@ -461,7 +447,7 @@ mod tests {
         let mut capture = vec![Cplx::ZERO; 2_000];
         capture[600..600 + FRAME_SAMPLES].copy_from_slice(&burst);
         add_noise(&mut capture, 0.1, 4); // noise 20 dB above the signal
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert!(msgs.is_empty());
     }
 
@@ -473,7 +459,7 @@ mod tests {
         let mut capture = vec![Cplx::ZERO; 1_000];
         capture[300..300 + FRAME_SAMPLES].copy_from_slice(&burst);
         add_noise(&mut capture, 0.1, 5);
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].frame, ModeSFrame::Extended(frame));
         assert!(msgs[0].min_confidence < 1.0);
@@ -481,7 +467,7 @@ mod tests {
 
     #[test]
     fn short_capture_is_fine() {
-        assert!(Decoder::default().scan(&[Cplx::ZERO; 10], 0.0).is_empty());
+        assert!(scan(&Decoder::default(), &[Cplx::ZERO; 10], 0.0).is_empty());
     }
 
     /// Corrupt one data bit so its decision flips with near-zero
@@ -509,7 +495,7 @@ mod tests {
         capture[400..400 + FRAME_SAMPLES].copy_from_slice(&burst);
         add_noise(&mut capture, 0.01, 2);
 
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert_eq!(msgs.len(), 1, "repair failed");
         assert_eq!(msgs[0].frame, ModeSFrame::Extended(frame));
         assert_eq!(msgs[0].repaired_bits, 1);
@@ -529,13 +515,13 @@ mod tests {
             max_repaired_bits: 1,
             ..Default::default()
         });
-        assert!(one_bit.scan(&capture, 0.0).is_empty(), "1-bit budget must fail");
+        assert!(scan(&one_bit, &capture, 0.0).is_empty(), "1-bit budget must fail");
 
         let two_bit = Decoder::new(DecoderConfig {
             max_repaired_bits: 2,
             ..Default::default()
         });
-        let msgs = two_bit.scan(&capture, 0.0);
+        let msgs = scan(&two_bit, &capture, 0.0);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].frame, ModeSFrame::Extended(frame));
         assert_eq!(msgs[0].repaired_bits, 2);
@@ -553,7 +539,7 @@ mod tests {
             max_repaired_bits: 0,
             ..Default::default()
         });
-        assert!(strict.scan(&capture, 0.0).is_empty());
+        assert!(scan(&strict, &capture, 0.0).is_empty());
     }
 
     #[test]
@@ -563,7 +549,7 @@ mod tests {
         let mut capture = vec![Cplx::ZERO; 800];
         capture[100..100 + FRAME_SAMPLES].copy_from_slice(&burst);
         add_noise(&mut capture, 0.01, 2);
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].repaired_bits, 0);
     }
@@ -587,8 +573,8 @@ mod tests {
             let mut capture = vec![Cplx::ZERO; 600];
             capture[150..150 + FRAME_SAMPLES].copy_from_slice(&burst);
             add_noise(&mut capture, 0.1, 1_000 + trial);
-            ok_strict += usize::from(!strict.scan(&capture, 0.0).is_empty());
-            let fixed = fixer.scan(&capture, 0.0);
+            ok_strict += usize::from(!scan(&strict, &capture, 0.0).is_empty());
+            let fixed = scan(&fixer, &capture, 0.0);
             if let Some(m) = fixed.first() {
                 assert_eq!(m.frame.icao().value(), 0x7E57AB, "false decode");
                 ok_fix += 1;
@@ -603,7 +589,7 @@ mod tests {
         for trial in 0..20u64 {
             let mut noise = vec![Cplx::ZERO; 2_000];
             add_noise(&mut noise, 0.1, 5_000 + trial);
-            assert!(fixer.scan(&noise, 0.0).is_empty(), "phantom decode from noise");
+            assert!(scan(&fixer, &noise, 0.0).is_empty(), "phantom decode from noise");
         }
     }
 
@@ -614,7 +600,7 @@ mod tests {
         let mut capture = vec![Cplx::ZERO; FRAME_SAMPLES + 100];
         // Burst starts 50 samples before the end-minus-frame boundary: fits.
         capture[100..100 + FRAME_SAMPLES].copy_from_slice(&burst);
-        let msgs = Decoder::default().scan(&capture, 0.0);
+        let msgs = scan(&Decoder::default(), &capture, 0.0);
         assert_eq!(msgs.len(), 1);
     }
 }

@@ -1,11 +1,10 @@
 //! Criterion bench for the ADS-B PHY: frame encode, PPM round trip, CRC,
 //! CPR, and the scanning decoder over a realistic multi-burst capture.
 
-use aircal_adsb::{cpr, me::MePayload, AdsbFrame, Decoder, IcaoAddress};
+use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
 use aircal_dsp::Cplx;
 use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::SeedableRng;
 use std::hint::black_box;
 
 fn test_frame(icao: u32) -> AdsbFrame {
@@ -39,7 +38,6 @@ fn bench_phy(c: &mut Criterion) {
     // A 50 ms capture with 20 bursts at healthy SNR, decoder throughput.
     let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
     let renderer = CaptureRenderer::new(fe.clone());
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
     let plans: Vec<BurstPlan> = (0..20)
         .map(|i| BurstPlan {
             start_s: i as f64 * 2.5e-3,
@@ -48,14 +46,18 @@ fn bench_phy(c: &mut Criterion) {
             phase0: i as f64,
         })
         .collect();
-    let windows = renderer.render(&plans, &mut rng);
+    let windows = renderer.render_seeded(&plans, 5, 1);
     let capture: Vec<Cplx> = windows.iter().flat_map(|w| w.samples.clone()).collect();
     let decoder = Decoder::default();
+    let (mut scratch, mut msgs) = (DecodeScratch::default(), Vec::new());
 
     let mut group = c.benchmark_group("adsb/decoder_scan");
     group.throughput(Throughput::Elements(capture.len() as u64));
     group.bench_function("20_bursts", |b| {
-        b.iter(|| black_box(decoder.scan(black_box(&capture), 0.0)))
+        b.iter(|| {
+            decoder.scan_with(black_box(&capture), 0.0, &mut scratch, &mut msgs);
+            black_box(msgs.len())
+        })
     });
     group.finish();
 }

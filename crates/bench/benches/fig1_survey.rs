@@ -17,11 +17,13 @@ fn bench_survey(c: &mut Criterion) {
     ] {
         let scenario = Scenario::build(kind);
         let traffic = paper_traffic(&scenario, 1);
+        let index = scenario.world.index();
         let cfg = SurveyConfig::quick();
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
                 black_box(run_survey(
                     &scenario.world,
+                    &index,
                     &scenario.site,
                     &traffic,
                     &cfg,

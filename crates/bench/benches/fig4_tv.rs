@@ -3,7 +3,7 @@
 //! and the six-channel sweep.
 
 use aircal_env::{Scenario, ScenarioKind};
-use aircal_tv::{paper_tv_towers, TvPowerProbe};
+use aircal_tv::{paper_tv_towers, TvPowerProbe, TvScratch};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -14,9 +14,21 @@ fn bench_tv(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig4_tv");
     group.sample_size(10);
+    let path = scenario
+        .world
+        .path_profile(&scenario.site, &towers[0].position, towers[0].channel.center_hz());
+    let waveform = probe.reference_waveform();
+    let mut scratch = TvScratch::default();
     group.bench_function("measure_one_channel", |b| {
         b.iter(|| {
-            black_box(probe.measure(&scenario.world, &scenario.site, &towers[0], black_box(3)))
+            black_box(probe.measure_with_path(
+                &path,
+                &scenario.site,
+                &towers[0],
+                black_box(3),
+                &waveform,
+                &mut scratch,
+            ))
         })
     });
     group.bench_function("sweep_six_channels", |b| {

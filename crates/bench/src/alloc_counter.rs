@@ -20,12 +20,33 @@
 //! allocation of the new size, `dealloc` is not counted. This matches
 //! what the budget cares about: allocator round-trips on the hot path,
 //! not live-heap accounting.
+//!
+//! Each thread also keeps its own pair of counters
+//! ([`AllocSnapshot::this_thread`]): a single-threaded loop measured that
+//! way cannot pick up allocations other threads make meanwhile, such as
+//! the test harness starting the next test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialized and destructor-free, so touching them from inside
+    // the allocator never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with`: the thread's slots may already be gone during teardown.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
 
 /// A [`GlobalAlloc`] wrapper over the system allocator that counts
 /// allocations and bytes. Zero-sized and `const`-constructible so it can
@@ -48,14 +69,12 @@ impl Default for CountingAllocator {
 // SAFETY: pure delegation to `System`; the counters are side effects.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -64,8 +83,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,11 +99,19 @@ pub struct AllocSnapshot {
 }
 
 impl AllocSnapshot {
-    /// Read the current counters.
+    /// Read the current process-wide counters.
     pub fn now() -> Self {
         Self {
             allocs: ALLOCS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Read the calling thread's own counters.
+    pub fn this_thread() -> Self {
+        Self {
+            allocs: THREAD_ALLOCS.with(Cell::get),
+            bytes: THREAD_BYTES.with(Cell::get),
         }
     }
 }

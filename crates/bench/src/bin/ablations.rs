@@ -22,8 +22,13 @@ use aircal_env::{all_scenarios, Scenario, ScenarioKind};
 use aircal_sdr::FrontendFault;
 
 fn main() {
-    let (positional, seed) = parse_args();
+    const USAGE: &str = "ablations [a1|a2|a3|a4|a5|a6|a7|a8|all] [--seed N]";
+    let (positional, seed) = parse_args(USAGE, &[], &[]);
     let which = positional.first().map(|s| s.as_str()).unwrap_or("all");
+    if !matches!(which, "a1" | "a2" | "a3" | "a4" | "a5" | "a6" | "a7" | "a8" | "all") {
+        eprintln!("error: unknown ablation '{which}'\nusage: {USAGE}");
+        std::process::exit(2);
+    }
     if matches!(which, "a1" | "all") {
         a1_estimators(seed);
     }
@@ -82,7 +87,7 @@ fn a8_congestion(seed: u64) {
         let on_air = TransponderSchedule::default()
             .emissions(&traffic.flights, 0.0, cfg.duration_s, seed ^ 0x5EED)
             .len();
-        let r = run_survey(&s.world, &s.site, &traffic, &cfg, seed);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &cfg, seed);
         println!(
             "{:>10} {:>11} {:>9} {:>12.1}% {:>11.0}%",
             count,
@@ -256,9 +261,9 @@ fn a3_latency(seed: u64) {
 
 /// A4: decoder success vs SNR — the PHY threshold behind every figure.
 fn a4_decode_snr(seed: u64) {
-    use aircal_adsb::{cpr, me::MePayload, AdsbFrame, Decoder, IcaoAddress};
+    use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
+    use aircal_dsp::derive_stream_seed;
     use aircal_sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-    use rand::SeedableRng;
 
     println!("# A4 — ADS-B decode probability vs SNR (100 frames per point)");
     println!("{:>8} {:>10}", "snr_db", "p_decode");
@@ -279,7 +284,8 @@ fn a4_decode_snr(seed: u64) {
     let snrs = [-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0];
     let threads = aircal_dsp::resolve_parallelism(0);
     let rates = aircal_dsp::par_map(&snrs, threads, |_, &snr| {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ (snr * 10.0) as u64);
+        let point_seed = seed ^ (snr * 10.0) as u64;
+        let (mut scratch, mut msgs) = (DecodeScratch::default(), Vec::new());
         let mut ok = 0;
         for i in 0..100 {
             let plans = [BurstPlan {
@@ -288,11 +294,11 @@ fn a4_decode_snr(seed: u64) {
                 rx_power_dbm: floor + snr,
                 phase0: i as f64 * 0.37,
             }];
-            let windows = renderer.render(&plans, &mut rng);
-            if windows
-                .iter()
-                .any(|w| !decoder.scan(&w.samples, w.start_s).is_empty())
-            {
+            let windows = renderer.render_seeded(&plans, derive_stream_seed(point_seed, i), 1);
+            if windows.iter().any(|w| {
+                decoder.scan_with(&w.samples, w.start_s, &mut scratch, &mut msgs);
+                !msgs.is_empty()
+            }) {
                 ok += 1;
             }
         }
@@ -312,6 +318,8 @@ fn a5_faults(seed: u64) {
     let traffic = paper_traffic(&s, seed);
     let cells = aircal_cellular::paper_towers(&s.world.origin);
     let tv = aircal_tv::paper_tv_towers(&s.world.origin);
+    let index = s.world.index();
+    let mut accel = s.world.accel();
 
     println!(
         "{:22} {:>9} {:>9} {:>7}  flags",
@@ -335,11 +343,11 @@ fn a5_faults(seed: u64) {
             fault,
             ..SurveyConfig::default()
         };
-        let r = run_survey(&s.world, &s.site, &traffic, &cfg, seed);
+        let r = run_survey(&s.world, &index, &s.site, &traffic, &cfg, seed);
         let mut profiler = FrequencyProfiler::default();
         profiler.scanner.config.fault = fault;
         profiler.tv_probe.config.fault = fault;
-        let profile = profiler.profile(&s.world, &s.site, &cells, &tv, seed);
+        let profile = profiler.profile(&s.world, &mut accel, &s.site, &cells, &tv, seed);
         let est = FovEstimator::default().estimate(&r.points);
         let trust = TrustAuditor::default().audit(&r, &profile, &traffic, est.open_fraction());
         println!(
@@ -352,8 +360,8 @@ fn a5_faults(seed: u64) {
         );
     }
     // Fabrication.
-    let honest = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::default(), seed);
-    let profile = FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, seed);
+    let honest = run_survey(&s.world, &index, &s.site, &traffic, &SurveyConfig::default(), seed);
+    let profile = FrequencyProfiler::default().profile(&s.world, &mut accel, &s.site, &cells, &tv, seed);
     let fake = fabricate_survey(&honest, honest.total_messages / 12);
     let est = FovEstimator::default().estimate(&fake.points);
     let trust = TrustAuditor::default().audit(&fake, &profile, &traffic, est.open_fraction());
@@ -374,5 +382,5 @@ fn survey_with(
     seed: u64,
 ) -> aircal_core::survey::SurveyResult {
     let traffic = paper_traffic(s, seed);
-    run_survey(&s.world, &s.site, &traffic, &cfg, seed)
+    run_survey(&s.world, &s.world.index(), &s.site, &traffic, &cfg, seed)
 }

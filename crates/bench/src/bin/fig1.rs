@@ -13,7 +13,7 @@ use aircal_env::{paper_scenarios, Scenario, ScenarioKind};
 use aircal_geo::Sector;
 
 fn main() {
-    let (positional, seed) = parse_args();
+    let (positional, seed) = parse_args("fig1 [rooftop|window|indoor|open|canyon] [--seed N]", &[], &[]);
     let scenarios: Vec<Scenario> = match positional.first() {
         Some(name) => match ScenarioKind::parse(name) {
             Some(kind) => vec![Scenario::build(kind)],

@@ -11,7 +11,7 @@ use aircal_cellular::{paper_towers, CellScanner};
 use aircal_env::paper_scenarios;
 
 fn main() {
-    let (_, seed) = parse_args();
+    let (_, seed) = parse_args("fig3 [--seed N]", &[], &[]);
     let scanner = CellScanner::default();
     let scenarios = paper_scenarios();
 

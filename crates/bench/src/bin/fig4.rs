@@ -11,7 +11,7 @@ use aircal_env::paper_scenarios;
 use aircal_tv::{paper_tv_towers, TvPowerProbe};
 
 fn main() {
-    let (_, seed) = parse_args();
+    let (_, seed) = parse_args("fig4 [--seed N]", &[], &[]);
     let probe = TvPowerProbe::default();
     let scenarios = paper_scenarios();
 

@@ -27,9 +27,9 @@
 //!   `--check-perf` enforces the speedup/hit-rate floors in
 //!   `scripts/perf_budget.json` (non-zero exit on regression);
 //! * **allocations** — steady-state allocator round-trips per burst on
-//!   the survey, TV-channel, and cellular hot paths: the old allocating
-//!   entry points vs the scratch (`*_with` / `*_into`) pipeline, counted
-//!   by a wrapping global allocator. `--check-allocs` enforces the
+//!   the survey, TV-channel, and cellular hot paths: each entry point
+//!   with fresh scratch per call vs warm reused scratch, counted by a
+//!   wrapping global allocator. `--check-allocs` enforces the
 //!   budgets in `scripts/alloc_budget.json` (non-zero exit on regression);
 //! * **stage_latency / span_summary** — one traced calibration run:
 //!   per-stage latency histograms (fixed `aircal-obs` bucket bounds)
@@ -53,7 +53,7 @@ use aircal::net::{spawn_node, AdversaryKind, Cloud, NodeAgent, NodeBehavior, Nod
 use aircal_adsb::decoder::gated_preamble_correlation;
 use aircal_adsb::{cpr, me::MePayload, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
 use aircal_aircraft::{TrafficConfig, TrafficSim};
-use aircal_bench::{parse_args, paper_traffic, AllocSnapshot, CountingAllocator};
+use aircal_bench::{flag_value, parse_args, paper_traffic, AllocSnapshot, CountingAllocator};
 use aircal_cellular::{paper_towers, CellScanner, CellScratch};
 use aircal_core::engine::Calibrator;
 use aircal_core::survey::{run_survey, SurveyConfig};
@@ -886,8 +886,9 @@ fn alloc_reduction(allocating: &AllocStats, scratch: &AllocStats) -> f64 {
 }
 
 /// Steady-state ADS-B burst loop: render one cluster, scan it, recycle
-/// the window buffer. The allocating baseline uses the pre-scratch entry
-/// points (`render_seeded` + `scan`); the scratch path must hit zero.
+/// the window buffer. The allocating baseline calls `render_seeded` and
+/// `scan_with` with fresh scratch per window; the scratch path must hit
+/// zero.
 fn survey_burst_allocs(seed: u64) -> AllocComparison {
     let fe = Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6));
     let renderer = CaptureRenderer::new(fe.clone());
@@ -916,7 +917,11 @@ fn survey_burst_allocs(seed: u64) -> AllocComparison {
         let windows = renderer.render_seeded(&plans, seed, 1);
         let msgs: usize = windows
             .iter()
-            .map(|w| decoder.scan(&w.samples, w.start_s).len())
+            .map(|w| {
+                let mut msgs = Vec::new();
+                decoder.scan_with(&w.samples, w.start_s, &mut DecodeScratch::default(), &mut msgs);
+                msgs.len()
+            })
             .sum();
         std::hint::black_box(msgs);
     });
@@ -944,10 +949,12 @@ fn survey_burst_allocs(seed: u64) -> AllocComparison {
     }
 }
 
-/// Steady-state TV channel loop: the allocating baseline re-synthesizes
-/// the 8VSB reference and rebuilds the band-power meter per channel; the
-/// scratch path shares one waveform and resets one warm meter. The result
-/// `station: String` keeps the scratch path at ~1 alloc per channel.
+/// Steady-state TV channel loop: the allocating baseline profiles each
+/// path by brute force, re-synthesizes the 8VSB reference and rebuilds
+/// the band-power meter per channel; the scratch path resolves its paths
+/// through a warm geometry accelerator, shares one waveform and resets
+/// one warm meter. The result `station: String` keeps the scratch path
+/// at ~1 alloc per channel.
 fn tv_channel_allocs(seed: u64) -> AllocComparison {
     let s = Scenario::build(ScenarioKind::Rooftop);
     let towers = paper_tv_towers(&s.world.origin);
@@ -959,19 +966,27 @@ fn tv_channel_allocs(seed: u64) -> AllocComparison {
     let allocating = measure_allocs(towers.len(), 2, || {
         let acc: f64 = towers
             .iter()
-            .map(|t| probe.measure(&s.world, &s.site, t, seed).power_dbfs)
+            .map(|t| {
+                let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+                let waveform = probe.reference_waveform();
+                probe
+                    .measure_with_path(&path, &s.site, t, seed, &waveform, &mut TvScratch::default())
+                    .power_dbfs
+            })
             .sum();
         std::hint::black_box(acc);
     });
 
     let waveform = probe.reference_waveform();
+    let mut accel = s.world.accel();
     let mut scratch = TvScratch::default();
     let scratch_stats = measure_allocs(towers.len(), 2, || {
         let acc: f64 = towers
             .iter()
             .map(|t| {
+                let path = accel.profile(&s.world, &s.site, &t.position, t.channel.center_hz());
                 probe
-                    .measure_with(&s.world, &s.site, t, seed, &waveform, &mut scratch)
+                    .measure_with_path(&path, &s.site, t, seed, &waveform, &mut scratch)
                     .power_dbfs
             })
             .sum();
@@ -1214,22 +1229,26 @@ fn decode_capture(seed: u64, frames: usize) -> (Vec<aircal_sdr::RenderedWindow>,
 }
 
 fn main() {
-    let (positional, seed) = parse_args();
+    let (positional, seed) = parse_args(
+        "perfreport [--quick] [--seed N] [--threads N] [--check-allocs] [--check-perf] \
+         [--check-robust] [--check-scale] [--check-recovery]",
+        &[
+            "--quick",
+            "--check-allocs",
+            "--check-perf",
+            "--check-robust",
+            "--check-scale",
+            "--check-recovery",
+        ],
+        &["--threads"],
+    );
     let quick = positional.iter().any(|a| a == "--quick");
     let check_allocs = positional.iter().any(|a| a == "--check-allocs");
     let check_perf = positional.iter().any(|a| a == "--check-perf");
     let check_robust = positional.iter().any(|a| a == "--check-robust");
     let check_scale = positional.iter().any(|a| a == "--check-scale");
     let check_recovery = positional.iter().any(|a| a == "--check-recovery");
-    let mut threads_override: Option<usize> = None;
-    let mut args_it = positional.iter();
-    while let Some(a) = args_it.next() {
-        if a == "--threads" {
-            threads_override = args_it.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            threads_override = v.parse().ok();
-        }
-    }
+    let threads_override = flag_value(&positional, "--threads").map(|v| v as usize);
     let reps = if quick { 1 } else { 3 };
     let host_cores = aircal_dsp::resolve_parallelism(0);
     let thread_cap = threads_override.unwrap_or(host_cores).max(1);
@@ -1254,16 +1273,18 @@ fn main() {
     // --- ADS-B decode throughput -----------------------------------------
     let (windows, samples) = decode_capture(seed, if quick { 200 } else { 1_000 });
     let decoder = Decoder::default();
-    let messages: usize = windows
-        .iter()
-        .map(|w| decoder.scan(&w.samples, w.start_s).len())
-        .sum();
-    let seconds = time_best(reps, || {
+    let (mut dscratch, mut msgs) = (DecodeScratch::default(), Vec::new());
+    let mut decode_all = || {
         windows
             .iter()
-            .map(|w| decoder.scan(&w.samples, w.start_s).len())
+            .map(|w| {
+                decoder.scan_with(&w.samples, w.start_s, &mut dscratch, &mut msgs);
+                msgs.len()
+            })
             .sum::<usize>()
-    });
+    };
+    let messages = decode_all();
+    let seconds = time_best(reps, decode_all);
     let adsb_decode = DecodeTiming {
         samples,
         messages,
@@ -1326,12 +1347,13 @@ fn main() {
     let s = Scenario::build(ScenarioKind::Rooftop);
     let traffic = paper_traffic(&s, seed);
     let survey_cfg = if quick { SurveyConfig::quick() } else { SurveyConfig::default() };
+    let index = s.world.index();
     let survey = thread_sweep(reps, host_cores, thread_cap, |threads| {
         let cfg = SurveyConfig {
             parallelism: threads,
             ..survey_cfg
         };
-        std::hint::black_box(run_survey(&s.world, &s.site, &traffic, &cfg, seed));
+        std::hint::black_box(run_survey(&s.world, &index, &s.site, &traffic, &cfg, seed));
     });
     let widest = survey.rows.last().expect("sweep includes serial row");
     eprintln!(

@@ -82,41 +82,11 @@ impl CellScanner {
         Self { config }
     }
 
-    /// Measure one tower from `site` within `world`. Deterministic in
-    /// `seed` (used for the fading draws).
-    pub fn measure(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        tower: &CellTower,
-        seed: u64,
-    ) -> CellMeasurement {
-        let path = world.path_profile(site, &tower.position, tower.dl_freq_hz());
-        self.measure_with_path(&path, site, tower, seed)
-    }
-
-    /// [`CellScanner::measure`] with the propagation path already in hand
-    /// — the geo-accelerated scan resolves the static towers through the
-    /// world's spatial index and memo first.
-    pub fn measure_with_path(
-        &self,
-        path: &PathProfile,
-        site: &SensorSite,
-        tower: &CellTower,
-        seed: u64,
-    ) -> CellMeasurement {
-        let mut scratch = CellScratch::default();
-        let mut out = CellMeasurement::default();
-        self.measure_into(path, site, tower, seed, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`CellScanner::measure_with_path`] into caller-owned working memory
+    /// Measure one tower over `path` into caller-owned working memory
     /// and result slot: the fading draws land in `scratch` and the fields
     /// of `out` (including its name `String`) are rewritten in place, so a
-    /// warm sweep performs no allocation at all. Every `measure` variant
-    /// routes through here, keeping all paths bit-identical.
-    pub fn measure_into(
+    /// warm sweep performs no allocation at all.
+    fn measure_into(
         &self,
         path: &PathProfile,
         site: &SensorSite,
@@ -155,8 +125,9 @@ impl CellScanner {
         out.obstruction_db = path.diffraction_db + path.penetration_db;
     }
 
-    /// Scan every tower in the database (the srsUE "cell search sweep").
-    /// Thin allocating wrapper over [`CellScanner::scan_into`].
+    /// Scan every tower in the database (the srsUE "cell search sweep")
+    /// with a throwaway geometry accelerator and scratch. Long-lived
+    /// holders keep both and call [`CellScanner::scan_with`].
     pub fn scan(
         &self,
         world: &World,
@@ -165,51 +136,25 @@ impl CellScanner {
         seed: u64,
     ) -> Vec<CellMeasurement> {
         let mut out = Vec::new();
-        self.scan_into(world, site, db, seed, &mut out);
+        self.scan_with(
+            world,
+            &mut world.accel(),
+            site,
+            db,
+            seed,
+            &mut CellScratch::default(),
+            &mut out,
+        );
         out
     }
 
-    /// [`CellScanner::scan`] into a caller-owned buffer (cleared first).
-    /// Reusing `out` keeps repeated sweeps allocation-free apart from the
-    /// per-tower name strings in the results.
-    pub fn scan_into(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-        out: &mut Vec<CellMeasurement>,
-    ) {
-        let _span = aircal_obs::span!("cell_scan");
-        out.clear();
-        out.extend(db.all().iter().map(|t| self.measure(world, site, t, seed)));
-    }
-
-    /// [`CellScanner::scan_into`] resolving each tower's propagation path
-    /// through the world's spatial index and path memo. Towers are static,
-    /// so after the first sweep every path is a cache hit. Bit-identical to
-    /// the brute-force scan.
-    pub fn scan_with_geo(
-        &self,
-        world: &World,
-        accel: &mut GeoAccel,
-        site: &SensorSite,
-        db: &TowerDatabase,
-        seed: u64,
-        out: &mut Vec<CellMeasurement>,
-    ) {
-        let _span = aircal_obs::span!("cell_scan");
-        out.clear();
-        out.extend(db.all().iter().map(|t| {
-            let path = accel.profile(world, site, &t.position, t.dl_freq_hz());
-            self.measure_with_path(&path, site, t, seed)
-        }));
-    }
-
-    /// [`CellScanner::scan_with_geo`] with reused working memory *and*
-    /// reused result slots: measurements are rewritten in place (name
-    /// strings included), so a warm sweep over static towers performs
-    /// zero allocations. Bit-identical to [`CellScanner::scan`].
+    /// [`CellScanner::scan`] resolving each tower's propagation path
+    /// through a caller-owned [`GeoAccel`] (spatial index + path memo),
+    /// with reused working memory *and* reused result slots: towers are
+    /// static, so after the first sweep every path is a cache hit, and
+    /// measurements are rewritten in place (name strings included), so a
+    /// warm sweep performs zero allocations. Bit-identical to the
+    /// brute-force path for an accelerator built from `world`.
     #[allow(clippy::too_many_arguments)]
     pub fn scan_with(
         &self,
@@ -319,23 +264,34 @@ mod tests {
         }
     }
 
-    /// The geo-accelerated sweep must match the brute-force scan bit for
-    /// bit, cold and warm.
+    /// The one equivalence test for the scanner: a cold and a warm
+    /// `scan_with` (reused accelerator, scratch and result slots) both
+    /// match a reference built on the brute-force `World::path_profile`.
     #[test]
-    fn geo_scan_matches_brute_force() {
+    fn scan_with_matches_brute_force_reference() {
         for kind in [ScenarioKind::Rooftop, ScenarioKind::BehindWindow, ScenarioKind::Indoor] {
             let s = Scenario::build(kind);
             let db = paper_towers(&s.world.origin);
             let scanner = CellScanner::default();
-            let brute = scanner.scan(&s.world, &s.site, &db, 7);
+            let reference: Vec<CellMeasurement> = db
+                .all()
+                .iter()
+                .map(|t| {
+                    let path = s.world.path_profile(&s.site, &t.position, t.dl_freq_hz());
+                    let mut m = CellMeasurement::default();
+                    scanner.measure_into(&path, &s.site, t, 7, &mut CellScratch::default(), &mut m);
+                    m
+                })
+                .collect();
             let mut accel = s.world.accel();
-            let mut cold = Vec::new();
-            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut cold);
-            assert_eq!(brute, cold, "{kind:?}: cold geo scan diverged");
-            let mut warm = Vec::new();
-            scanner.scan_with_geo(&s.world, &mut accel, &s.site, &db, 7, &mut warm);
-            assert_eq!(brute, warm, "{kind:?}: warm geo scan diverged");
+            let mut scratch = CellScratch::default();
+            let mut out = Vec::new();
+            scanner.scan_with(&s.world, &mut accel, &s.site, &db, 7, &mut scratch, &mut out);
+            assert_eq!(reference, out, "{kind:?}: cold scan diverged");
+            scanner.scan_with(&s.world, &mut accel, &s.site, &db, 7, &mut scratch, &mut out);
+            assert_eq!(reference, out, "{kind:?}: warm scan diverged");
             assert_eq!(accel.cache.hits(), db.all().len() as u64);
+            assert_eq!(reference, scanner.scan(&s.world, &s.site, &db, 7));
         }
     }
 

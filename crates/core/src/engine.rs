@@ -4,7 +4,7 @@ use crate::classifier::{IndoorOutdoorClassifier, InstallFeatures};
 use crate::fov::{FovEstimator, FovMethod};
 use crate::freqprofile::FrequencyProfiler;
 use crate::report::{CalibrationReport, SurveySummary};
-use crate::survey::{run_survey_indexed, SurveyConfig};
+use crate::survey::{run_survey, SurveyConfig};
 use crate::trust::TrustAuditor;
 use aircal_aircraft::{TrafficConfig, TrafficSim};
 use aircal_cellular::paper_towers;
@@ -104,7 +104,7 @@ impl Calibrator {
             )
         });
         let survey = self.obs.time("stage.survey", || {
-            run_survey_indexed(world, &geo.index, site, &traffic, &self.survey, seed)
+            run_survey(world, &geo.index, site, &traffic, &self.survey, seed)
         });
         publish_survey_metrics(&self.obs, &survey);
 
@@ -118,7 +118,7 @@ impl Calibrator {
         let tv = paper_tv_towers(&world.origin);
         let frequency = self.obs.time("stage.profile", || {
             self.profiler
-                .profile_with_geo(world, &mut geo, site, &cells, &tv, seed ^ 0xF00D)
+                .profile(world, &mut geo, site, &cells, &tv, seed ^ 0xF00D)
         });
         publish_profile_metrics(&self.obs, &frequency);
         publish_geometry_metrics(&self.obs, &mut geo);

@@ -8,9 +8,9 @@
 //! band's attenuation. A failed measurement (no cell sync) is a **blind**
 //! band.
 
-use aircal_cellular::{CellScanner, TowerDatabase};
+use aircal_cellular::{CellMeasurement, CellScanner, CellScratch, TowerDatabase};
 use aircal_env::{GeoAccel, SensorSite, World};
-use aircal_tv::{TvPowerProbe, TvTower};
+use aircal_tv::{TvMeasurement, TvPowerProbe, TvTower};
 use serde::{Deserialize, Serialize};
 
 /// Which opportunistic source produced a band measurement.
@@ -91,6 +91,39 @@ pub struct FrequencyProfile {
 }
 
 impl FrequencyProfile {
+    /// Pair each measured cell and TV channel with its clear-sky
+    /// expectation (same tower order on both sides) into one band per
+    /// source, sorted by frequency. A cell the clear-sky scan could not
+    /// sync expects −120 dBm. The profiler and the cloud's verdict both
+    /// build their profiles here.
+    pub fn from_sweeps(
+        cells: &[CellMeasurement],
+        clear_cells: &[CellMeasurement],
+        tv: &[TvMeasurement],
+        clear_tv: &[TvMeasurement],
+    ) -> Self {
+        let cell_bands = cells.iter().zip(clear_cells).map(|(r, c)| BandMeasurement {
+            label: r.tower_name.clone(),
+            freq_hz: r.freq_hz,
+            source: SourceKind::Cellular,
+            measured_db: r.rsrp_dbm,
+            expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
+        });
+        let tv_bands = tv.iter().zip(clear_tv).map(|(r, c)| BandMeasurement {
+            label: r.station.clone(),
+            freq_hz: r.center_hz,
+            source: SourceKind::BroadcastTv,
+            measured_db: Some(r.power_dbfs),
+            expected_clear_db: c.power_dbfs,
+        });
+        let mut bands: Vec<BandMeasurement> = cell_bands.chain(tv_bands).collect();
+        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
+        Self {
+            bands,
+            missing_sources: Vec::new(),
+        }
+    }
+
     /// Whether every commissioned sweep actually arrived.
     pub fn is_complete(&self) -> bool {
         self.missing_sources.is_empty()
@@ -145,28 +178,13 @@ pub struct FrequencyProfiler {
 
 impl FrequencyProfiler {
     /// Profile a node: measure all towers/stations through the real world
-    /// and compare against an unobstructed twin of the site. Builds a
-    /// throwaway geometry accelerator; callers that profile repeatedly
-    /// against the same world should hold a [`GeoAccel`] and use
-    /// [`FrequencyProfiler::profile_with_geo`].
+    /// and compare against an unobstructed twin of the site. The real
+    /// sweeps resolve their paths through `accel`, the geometry
+    /// accelerator of `world` (spatial index + path memo), so callers
+    /// that profile repeatedly against the same world serve the static
+    /// towers from the memo. The unobstructed twin lives in an *empty*
+    /// world, where brute force is already trivial.
     pub fn profile(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        cells: &TowerDatabase,
-        tv: &[TvTower],
-        seed: u64,
-    ) -> FrequencyProfile {
-        let mut accel = world.accel();
-        self.profile_with_geo(world, &mut accel, site, cells, tv, seed)
-    }
-
-    /// [`FrequencyProfiler::profile`] resolving the real-world sweeps
-    /// through a caller-owned geometry accelerator (spatial index + path
-    /// memo). The unobstructed twin lives in an *empty* world, where brute
-    /// force is already trivial, so only the real sweeps go through
-    /// `accel`. Bit-identical to the brute-force profile.
-    pub fn profile_with_geo(
         &self,
         world: &World,
         accel: &mut GeoAccel,
@@ -190,38 +208,20 @@ impl FrequencyProfiler {
         let mut clear_probe = self.tv_probe.clone();
         clear_probe.config.fault = aircal_sdr::FrontendFault::None;
 
-        let mut bands = Vec::new();
         let mut real_cell = Vec::new();
-        self.scanner
-            .scan_with_geo(world, accel, site, cells, seed, &mut real_cell);
+        self.scanner.scan_with(
+            world,
+            accel,
+            site,
+            cells,
+            seed,
+            &mut CellScratch::default(),
+            &mut real_cell,
+        );
         let clear_cell = clear_scanner.scan(&clear_world, &clear_site, cells, seed ^ 1);
-        for (r, c) in real_cell.iter().zip(&clear_cell) {
-            bands.push(BandMeasurement {
-                label: r.tower_name.clone(),
-                freq_hz: r.freq_hz,
-                source: SourceKind::Cellular,
-                measured_db: r.rsrp_dbm,
-                expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
-            });
-        }
-
         let real_tv = self.tv_probe.sweep_with_geo(world, accel, site, tv, seed);
         let clear_tv = clear_probe.sweep(&clear_world, &clear_site, tv, seed ^ 1);
-        for (r, c) in real_tv.iter().zip(&clear_tv) {
-            bands.push(BandMeasurement {
-                label: r.station.clone(),
-                freq_hz: r.center_hz,
-                source: SourceKind::BroadcastTv,
-                measured_db: Some(r.power_dbfs),
-                expected_clear_db: c.power_dbfs,
-            });
-        }
-
-        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
-        FrequencyProfile {
-            bands,
-            missing_sources: Vec::new(),
-        }
+        FrequencyProfile::from_sweeps(&real_cell, &clear_cell, &real_tv, &clear_tv)
     }
 }
 
@@ -236,7 +236,22 @@ mod tests {
         let s = Scenario::build(kind);
         let cells = paper_towers(&s.world.origin);
         let tv = paper_tv_towers(&s.world.origin);
-        FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, 17)
+        FrequencyProfiler::default().profile(&s.world, &mut s.world.accel(), &s.site, &cells, &tv, 17)
+    }
+
+    /// A warm accelerator (every real-world tower path a memo hit)
+    /// profiles exactly like a cold one.
+    #[test]
+    fn profile_identical_cold_and_warm() {
+        let s = Scenario::build(ScenarioKind::BehindWindow);
+        let cells = paper_towers(&s.world.origin);
+        let tv = paper_tv_towers(&s.world.origin);
+        let profiler = FrequencyProfiler::default();
+        let mut accel = s.world.accel();
+        let cold = profiler.profile(&s.world, &mut accel, &s.site, &cells, &tv, 17);
+        let warm = profiler.profile(&s.world, &mut accel, &s.site, &cells, &tv, 17);
+        assert_eq!(cold.bands, warm.bands);
+        assert_eq!(accel.cache.hits(), (cells.all().len() + tv.len()) as u64);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub fn run_repeated(
     n: usize,
     base_seed: u64,
 ) -> RepeatedSurvey {
+    let index = world.index();
     let runs = (0..n)
         .map(|k| {
             let seed = base_seed.wrapping_add(k as u64 * 0x9E3779B9);
@@ -50,7 +51,7 @@ pub fn run_repeated(
                 },
                 seed,
             );
-            run_survey(world, site, &traffic, config, seed)
+            run_survey(world, &index, site, &traffic, config, seed)
         })
         .collect();
     RepeatedSurvey { runs }

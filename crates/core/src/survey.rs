@@ -137,21 +137,10 @@ impl SurveyResult {
     }
 }
 
-/// Run the §3.1 survey procedure.
+/// Run the §3.1 survey procedure. `index` is the spatial index of
+/// `world` (`world.index()`); long-lived hosts (network nodes, the
+/// calibration engine) build it once and reuse it across surveys.
 pub fn run_survey(
-    world: &World,
-    site: &SensorSite,
-    traffic: &TrafficSim,
-    config: &SurveyConfig,
-    seed: u64,
-) -> SurveyResult {
-    run_survey_indexed(world, &world.index(), site, traffic, config, seed)
-}
-
-/// [`run_survey`] with a caller-owned [`WorldIndex`], so long-lived hosts
-/// (network nodes, fleet audits) amortize the index build across surveys.
-/// Bit-identical to `run_survey` for an index built from `world`.
-pub fn run_survey_indexed(
     world: &World,
     index: &WorldIndex,
     site: &SensorSite,
@@ -389,7 +378,7 @@ mod tests {
     fn open_field_observes_most_aircraft() {
         let s = Scenario::build(ScenarioKind::OpenField);
         let traffic = traffic_for(&s, 40, 1);
-        let r = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 1);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 1);
         assert!(
             r.observation_rate() > 0.8,
             "open field observed only {:.0}%",
@@ -403,7 +392,7 @@ mod tests {
     fn rooftop_sees_far_west_short_east() {
         let s = Scenario::build(ScenarioKind::Rooftop);
         let traffic = traffic_for(&s, 80, 12);
-        let r = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 12);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 12);
         let west = Sector::centered(270.0, 120.0);
         let far_west_observed = r
             .points
@@ -437,7 +426,7 @@ mod tests {
     fn indoor_sees_only_close_aircraft() {
         let s = Scenario::build(ScenarioKind::Indoor);
         let traffic = traffic_for(&s, 80, 13);
-        let r = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 13);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 13);
         // Figure 1(c): only close-in aircraft decode indoors. A lucky
         // deep-shadow outlier or two can stretch past 20 km; the bulk
         // cannot.
@@ -478,7 +467,7 @@ mod tests {
             fault: FrontendFault::Dead,
             ..SurveyConfig::quick()
         };
-        let r = run_survey(&s.world, &s.site, &traffic, &cfg, 4);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &cfg, 4);
         assert_eq!(r.total_messages, 0);
         assert_eq!(r.observation_rate(), 0.0);
     }
@@ -487,7 +476,7 @@ mod tests {
     fn decoded_positions_match_truth() {
         let s = Scenario::build(ScenarioKind::OpenField);
         let traffic = traffic_for(&s, 30, 5);
-        let r = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 5);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 5);
         assert!(!r.decoded_positions.is_empty());
         for (icao, pos) in &r.decoded_positions {
             let f = traffic.by_icao(*icao).expect("decoded aircraft exists");
@@ -504,7 +493,7 @@ mod tests {
     fn points_cover_all_ground_truth() {
         let s = Scenario::build(ScenarioKind::OpenField);
         let traffic = traffic_for(&s, 25, 6);
-        let r = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 6);
+        let r = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 6);
         // Every ground-truth aircraft appears exactly once.
         let mut icaos: Vec<_> = r.points.iter().map(|p| p.icao).collect();
         icaos.sort();
@@ -525,8 +514,8 @@ mod tests {
     fn deterministic_per_seed() {
         let s = Scenario::build(ScenarioKind::OpenField);
         let traffic = traffic_for(&s, 15, 7);
-        let a = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 7);
-        let b = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 7);
+        let a = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 7);
+        let b = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 7);
         assert_eq!(a.points, b.points);
         assert_eq!(a.total_messages, b.total_messages);
     }
@@ -541,6 +530,7 @@ mod tests {
             let traffic = traffic_for(&s, 20, seed);
             let serial = run_survey(
                 &s.world,
+                &s.world.index(),
                 &s.site,
                 &traffic,
                 &SurveyConfig {
@@ -553,6 +543,7 @@ mod tests {
             for parallelism in [2usize, 8] {
                 let parallel = run_survey(
                     &s.world,
+                    &s.world.index(),
                     &s.site,
                     &traffic,
                     &SurveyConfig {
@@ -583,6 +574,7 @@ mod tests {
         let survey = |snr_gate: f64| {
             run_survey(
                 &s.world,
+                &s.world.index(),
                 &s.site,
                 &traffic,
                 &SurveyConfig {

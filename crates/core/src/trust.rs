@@ -275,7 +275,7 @@ mod tests {
             },
             11,
         );
-        let survey = run_survey(&s.world, &s.site, &traffic, &SurveyConfig::quick(), 11);
+        let survey = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &SurveyConfig::quick(), 11);
         (survey, traffic)
     }
 
@@ -426,7 +426,7 @@ mod tests {
             fault: aircal_sdr::FrontendFault::Dead,
             ..SurveyConfig::quick()
         };
-        let survey = run_survey(&s.world, &s.site, &traffic, &cfg, 33);
+        let survey = run_survey(&s.world, &s.world.index(), &s.site, &traffic, &cfg, 33);
         let score =
             TrustAuditor::default().audit(&survey, &profile_stub(0, 11), &traffic, 0.0);
         assert!(score.score < 50.0, "dead node scored {}", score.score);

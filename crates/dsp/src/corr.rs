@@ -6,30 +6,6 @@
 
 use crate::Cplx;
 
-/// Raw sliding cross-correlation of `signal` against `template`
-/// (`conj(template)` applied, as usual for matched filtering).
-///
-/// Output length is `signal.len() - template.len() + 1`; empty if the
-/// template is longer than the signal.
-pub fn cross_correlate(signal: &[Cplx], template: &[Cplx]) -> Vec<Cplx> {
-    let mut out = Vec::new();
-    cross_correlate_into(signal, template, &mut out);
-    out
-}
-
-/// [`cross_correlate`] into a caller-owned buffer (cleared first); reusing
-/// `out` across calls keeps the scan loop allocation-free.
-pub fn cross_correlate_into(signal: &[Cplx], template: &[Cplx], out: &mut Vec<Cplx>) {
-    out.clear();
-    if template.is_empty() || signal.len() < template.len() {
-        return;
-    }
-    let k = crate::simd::kernels();
-    let m = template.len();
-    let n = signal.len() - m + 1;
-    out.extend((0..n).map(|i| (k.cdot_conj)(&signal[i..i + m], template)));
-}
-
 /// Normalized correlation magnitude in `[0, 1]` at each lag: the cosine
 /// similarity between the template and each signal window. Windows with
 /// (near-)zero energy report 0.
@@ -121,8 +97,8 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_yield_empty() {
-        assert!(cross_correlate(&[], &template()).is_empty());
-        assert!(cross_correlate(&template(), &[]).is_empty());
+        assert!(normalized_correlation(&[], &template()).is_empty());
+        assert!(normalized_correlation(&template(), &[]).is_empty());
         assert!(normalized_correlation(&[Cplx::ONE], &template()).is_empty());
     }
 

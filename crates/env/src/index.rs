@@ -288,7 +288,7 @@ impl GeoScratch {
 /// (site position and enclosure flag, emitter position, frequency) is
 /// captured by its bit pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PathKey {
+struct PathKey {
     site: [u64; 3],
     indoor: bool,
     emitter: [u64; 3],
@@ -296,7 +296,7 @@ pub(crate) struct PathKey {
 }
 
 impl PathKey {
-    pub(crate) fn of(site: &SensorSite, emitter: &LatLon, freq_hz: f64) -> Self {
+    fn of(site: &SensorSite, emitter: &LatLon, freq_hz: f64) -> Self {
         Self {
             site: [
                 site.position.lat_deg.to_bits(),
@@ -336,21 +336,30 @@ impl PathCache {
         Self::default()
     }
 
-    pub(crate) fn get(&mut self, key: &PathKey) -> Option<PathProfile> {
-        match self.map.get(key) {
-            Some(p) => {
-                self.hits += 1;
-                Some(*p)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// Memoized indexed profile: serves a repeat (site, emitter,
+    /// frequency) lookup from the memo, and on a miss computes
+    /// [`World::path_profile_indexed`] and stores it. Exact bit-pattern
+    /// keys, so a hit returns exactly what the miss path would have
+    /// computed. Callers outside this crate reach it through
+    /// [`GeoAccel::profile`].
+    pub(crate) fn profile(
+        &mut self,
+        world: &World,
+        index: &WorldIndex,
+        site: &SensorSite,
+        emitter: &LatLon,
+        freq_hz: f64,
+        scratch: &mut GeoScratch,
+    ) -> PathProfile {
+        let key = PathKey::of(site, emitter, freq_hz);
+        if let Some(p) = self.map.get(&key) {
+            self.hits += 1;
+            return *p;
         }
-    }
-
-    pub(crate) fn put(&mut self, key: PathKey, profile: PathProfile) {
-        self.map.insert(key, profile);
+        self.misses += 1;
+        let p = world.path_profile_indexed(index, site, emitter, freq_hz, scratch);
+        self.map.insert(key, p);
+        p
     }
 
     /// Number of memoized profiles.
@@ -433,14 +442,8 @@ impl GeoAccel {
         emitter: &LatLon,
         freq_hz: f64,
     ) -> PathProfile {
-        world.path_profile_cached(
-            &self.index,
-            &mut self.cache,
-            site,
-            emitter,
-            freq_hz,
-            &mut self.scratch,
-        )
+        self.cache
+            .profile(world, &self.index, site, emitter, freq_hz, &mut self.scratch)
     }
 }
 

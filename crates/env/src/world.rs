@@ -1,7 +1,7 @@
 //! The world model and the geometry → path-profile computation.
 
 use crate::building::Building;
-use crate::index::{GeoScratch, PathCache, PathKey, WorldIndex};
+use crate::index::{GeoScratch, PathCache, WorldIndex};
 use crate::site::SensorSite;
 use aircal_geo::{LatLon, Point2, Segment2};
 use aircal_rfprop::diffraction::knife_edge_loss_db;
@@ -86,7 +86,7 @@ impl World {
     }
 
     /// Indexed profile with the site's 2-D projection already in hand
-    /// (the batched entry points hoist it out of the per-emitter loop).
+    /// (the obstruction sweep hoists it out of the per-emitter loop).
     fn profile_indexed_at(
         &self,
         index: &WorldIndex,
@@ -115,66 +115,6 @@ impl World {
             hits,
             ts,
         )
-    }
-
-    /// Memoized indexed profile: serves repeat (site, emitter, frequency)
-    /// lookups — static TV/cell towers, obstruction-sweep points — from
-    /// the [`PathCache`]. Exact bit-pattern keys, so a hit returns exactly
-    /// what the miss path would have computed.
-    pub fn path_profile_cached(
-        &self,
-        index: &WorldIndex,
-        cache: &mut PathCache,
-        site: &SensorSite,
-        emitter: &LatLon,
-        freq_hz: f64,
-        scratch: &mut GeoScratch,
-    ) -> PathProfile {
-        let key = PathKey::of(site, emitter, freq_hz);
-        if let Some(p) = cache.get(&key) {
-            return p;
-        }
-        let p = self.path_profile_indexed(index, site, emitter, freq_hz, scratch);
-        cache.put(key, p);
-        p
-    }
-
-    /// Batched profiles for many emitters against one site, writing into a
-    /// caller-owned buffer: hoists the site projection out of the
-    /// per-emitter loop and reuses the scratch buffers throughout.
-    /// `out[i]` is bit-identical to `path_profile(site, &emitters[i], freq_hz)`.
-    pub fn path_profiles_into(
-        &self,
-        index: &WorldIndex,
-        site: &SensorSite,
-        freq_hz: f64,
-        emitters: &[LatLon],
-        scratch: &mut GeoScratch,
-        out: &mut Vec<PathProfile>,
-    ) {
-        out.clear();
-        let sensor_2d = index.project(&site.position);
-        for e in emitters {
-            out.push(self.profile_indexed_at(index, site, e, freq_hz, sensor_2d, scratch));
-        }
-    }
-
-    /// Memoized form of [`path_profiles_into`](Self::path_profiles_into).
-    #[allow(clippy::too_many_arguments)]
-    pub fn path_profiles_cached_into(
-        &self,
-        index: &WorldIndex,
-        cache: &mut PathCache,
-        site: &SensorSite,
-        freq_hz: f64,
-        emitters: &[LatLon],
-        scratch: &mut GeoScratch,
-        out: &mut Vec<PathProfile>,
-    ) {
-        out.clear();
-        for e in emitters {
-            out.push(self.path_profile_cached(index, cache, site, e, freq_hz, scratch));
-        }
     }
 
     /// The shared per-building accumulation loop. `ids` selects which
@@ -316,7 +256,7 @@ impl World {
             let mut emitter = site.position.destination(bearing, range_m);
             emitter.alt_m = site.position.alt_m + elevation_deg.to_radians().tan() * range_m;
             let p = match cache.as_deref_mut() {
-                Some(c) => self.path_profile_cached(index, c, site, &emitter, freq_hz, scratch),
+                Some(c) => c.profile(self, index, site, &emitter, freq_hz, scratch),
                 None => self.profile_indexed_at(index, site, &emitter, freq_hz, sensor_2d, scratch),
             };
             out.push(p.diffraction_db + p.penetration_db);
@@ -530,9 +470,8 @@ mod tests {
             ));
         }
         let site = SensorSite::outdoor("s", LatLon::new(37.8716, -122.2727, 2.0));
-        let index = w.index();
+        let mut accel = w.accel();
         let mut scratch = crate::GeoScratch::new();
-        let mut cache = crate::PathCache::new();
         for (brg, rng, alt, freq) in [
             (10.0, 60_000.0, 9_000.0, 1.09e9),
             (97.0, 1_500.0, 300.0, 0.615e9),
@@ -541,9 +480,9 @@ mod tests {
         ] {
             let ac = aircraft_at(&site, brg, rng, alt);
             let brute = w.path_profile(&site, &ac, freq);
-            let fast = w.path_profile_indexed(&index, &site, &ac, freq, &mut scratch);
-            let cold = w.path_profile_cached(&index, &mut cache, &site, &ac, freq, &mut scratch);
-            let warm = w.path_profile_cached(&index, &mut cache, &site, &ac, freq, &mut scratch);
+            let fast = w.path_profile_indexed(&accel.index, &site, &ac, freq, &mut scratch);
+            let cold = accel.profile(&w, &site, &ac, freq);
+            let warm = accel.profile(&w, &site, &ac, freq);
             for got in [&fast, &cold, &warm] {
                 assert_eq!(brute.distance_m.to_bits(), got.distance_m.to_bits());
                 assert_eq!(brute.diffraction_db.to_bits(), got.diffraction_db.to_bits());
@@ -552,31 +491,18 @@ mod tests {
                 assert_eq!(brute.shadowing_sigma_db.to_bits(), got.shadowing_sigma_db.to_bits());
             }
         }
-        assert_eq!(cache.hits(), 4);
-        assert_eq!(cache.misses(), 4);
+        assert_eq!(accel.cache.hits(), 4);
+        assert_eq!(accel.cache.misses(), 4);
     }
 
     #[test]
-    fn batched_and_sweep_variants_match_pointwise_calls() {
+    fn sweep_variants_match_brute_force() {
         let w = World::open(origin())
             .with_building(Building::rect("a", Point2::new(25.0, 0.0), 10.0, 80.0, 70.0, Material::Concrete))
             .with_building(Building::rect("b", Point2::new(-40.0, 10.0), 30.0, 12.0, 22.0, Material::Brick));
         let site = SensorSite::outdoor("s", LatLon::new(37.8716, -122.2727, 2.0));
         let index = w.index();
         let mut scratch = crate::GeoScratch::new();
-        let emitters: Vec<LatLon> = (0..24)
-            .map(|i| aircraft_at(&site, i as f64 * 15.0, 20_000.0, 6_000.0))
-            .collect();
-        let mut batched = Vec::new();
-        w.path_profiles_into(&index, &site, 1.09e9, &emitters, &mut scratch, &mut batched);
-        assert_eq!(batched.len(), emitters.len());
-        for (e, got) in emitters.iter().zip(&batched) {
-            let want = w.path_profile(&site, e, 1.09e9);
-            assert_eq!(want.diffraction_db.to_bits(), got.diffraction_db.to_bits());
-            assert_eq!(want.penetration_db.to_bits(), got.penetration_db.to_bits());
-            assert_eq!(want.distance_m.to_bits(), got.distance_m.to_bits());
-        }
-
         let brute = w.obstruction_profile(&site, 1.09e9, 2.0, 50_000.0, 36);
         let mut cache = crate::PathCache::new();
         let mut fast = Vec::new();

@@ -7,7 +7,7 @@
 //! * the path memo is bit-identical warm and cold (a hit can only return
 //!   what the miss path computed).
 
-use aircal_env::{Building, Enclosure, GeoScratch, PathCache, SensorSite, World};
+use aircal_env::{Building, Enclosure, GeoScratch, SensorSite, World};
 use aircal_geo::{LatLon, Point2, Sector};
 use aircal_rfprop::{Material, PathProfile};
 use proptest::prelude::*;
@@ -117,9 +117,7 @@ proptest! {
         pos.alt_m = 10.0;
         let site = SensorSite::outdoor("p", pos);
         let freq_hz = freq_mhz * 1e6;
-        let index = world.index();
-        let mut cache = PathCache::new();
-        let mut scratch = GeoScratch::new();
+        let mut accel = world.accel();
 
         let emitters: Vec<LatLon> = em_bearings
             .iter()
@@ -131,16 +129,14 @@ proptest! {
             .collect();
         for e in &emitters {
             let brute = world.path_profile(&site, e, freq_hz);
-            let cold =
-                world.path_profile_cached(&index, &mut cache, &site, e, freq_hz, &mut scratch);
-            let warm =
-                world.path_profile_cached(&index, &mut cache, &site, e, freq_hz, &mut scratch);
+            let cold = accel.profile(&world, &site, e, freq_hz);
+            let warm = accel.profile(&world, &site, e, freq_hz);
             assert_bits_equal(&brute, &cold, "cold vs brute")?;
             assert_bits_equal(&cold, &warm, "warm vs cold")?;
         }
         // Distinct bearings can collide only if two emitters share bit
         // patterns; with distinct keys every second lookup hit.
-        prop_assert!(cache.hits() >= emitters.len() as u64);
-        prop_assert!(cache.len() <= emitters.len());
+        prop_assert!(accel.cache.hits() >= emitters.len() as u64);
+        prop_assert!(accel.cache.len() <= emitters.len());
     }
 }

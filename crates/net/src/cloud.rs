@@ -25,7 +25,7 @@ use aircal_cellular::{paper_towers, CellMeasurement, CellScanner};
 use aircal_core::classifier::{IndoorOutdoorClassifier, InstallFeatures, InstallVerdict};
 use aircal_core::engine::{publish_profile_metrics, publish_survey_metrics};
 use aircal_core::fov::{FovEstimate, FovEstimator};
-use aircal_core::freqprofile::{BandMeasurement, FrequencyProfile, SourceKind};
+use aircal_core::freqprofile::{FrequencyProfile, SourceKind};
 use aircal_core::robust::{self, FusedProfile, FusionRule};
 use aircal_core::survey::{SurveyConfig, SurveyResult};
 use aircal_core::trust::{TrustAuditor, TrustScore};
@@ -786,7 +786,7 @@ impl Cloud {
                 continue;
             }
             let wire_before = record.link.stats().attempts;
-            let verdict = self.audit_one_named(name, &mut record.link, seed);
+            let verdict = self.audit_one(name, &mut record.link, seed);
             record.reachable = verdict.is_some();
             if verdict.is_none() {
                 self.obs.incr("audit.unreachable", 1);
@@ -1110,22 +1110,12 @@ impl Cloud {
         }
     }
 
-    /// Audit one node over its link. Returns `None` only when the node's
-    /// identity cannot be established (the `Describe` step fails even
-    /// with retries); any later step failure degrades to a partial
-    /// verdict instead of aborting the audit.
-    pub fn audit_one(&self, link: &mut Link, seed: u64) -> Option<VerificationVerdict> {
-        self.audit_one_named("", link, seed)
-    }
-
-    /// [`Cloud::audit_one`] with a registry name so the audit's telemetry
-    /// (step events, trust deltas, wire counters) is tagged per node.
-    pub fn audit_one_named(
-        &self,
-        name: &str,
-        link: &mut Link,
-        seed: u64,
-    ) -> Option<VerificationVerdict> {
+    /// Audit one node over its link, tagging the audit's telemetry (step
+    /// events, trust deltas, wire counters) with its registry `name`.
+    /// Returns `None` only when the node's identity cannot be established
+    /// (the `Describe` step fails even with retries); any later step
+    /// failure degrades to a partial verdict instead of aborting the audit.
+    fn audit_one(&self, name: &str, link: &mut Link, seed: u64) -> Option<VerificationVerdict> {
         let policy = &self.retry_policy;
         let obs = &self.obs;
         let claims = match step(
@@ -1182,26 +1172,14 @@ impl Cloud {
                 _ => None,
             },
         );
-        Some(self.judge_partial_named(name, claims, survey, cells, tv, seed))
+        Some(self.judge_partial(name, claims, survey, cells, tv, seed))
     }
 
     /// Verification when some evidence may be missing: judge whatever
     /// the node delivered, mark the gaps on the profile, and penalize
-    /// the trust score once per missing evidence source.
-    pub fn judge_partial(
-        &self,
-        claims: NodeClaims,
-        survey: StepOutcome<SurveyResult>,
-        cells: StepOutcome<Vec<CellMeasurement>>,
-        tv: StepOutcome<Vec<TvMeasurement>>,
-        seed: u64,
-    ) -> VerificationVerdict {
-        self.judge_partial_named("", claims, survey, cells, tv, seed)
-    }
-
-    /// [`Cloud::judge_partial`] with a registry name so the round's
-    /// [`AuditEventKind::TrustDelta`] is tagged per node.
-    pub fn judge_partial_named(
+    /// the trust score once per missing evidence source. The round's
+    /// [`AuditEventKind::TrustDelta`] is tagged with the registry `name`.
+    fn judge_partial(
         &self,
         name: &str,
         claims: NodeClaims,
@@ -1398,31 +1376,7 @@ impl Cloud {
         let tv_db = paper_tv_towers(&origin);
         let clear_cells = CellScanner::default().scan(&clear_world, &clear_site, &cell_db, seed ^ 1);
         let clear_tv = TvPowerProbe::default().sweep(&clear_world, &clear_site, &tv_db, seed ^ 1);
-
-        let mut bands = Vec::new();
-        for (r, c) in cells.iter().zip(&clear_cells) {
-            bands.push(BandMeasurement {
-                label: r.tower_name.clone(),
-                freq_hz: r.freq_hz,
-                source: SourceKind::Cellular,
-                measured_db: r.rsrp_dbm,
-                expected_clear_db: c.rsrp_dbm.unwrap_or(-120.0),
-            });
-        }
-        for (r, c) in tv.iter().zip(&clear_tv) {
-            bands.push(BandMeasurement {
-                label: r.station.clone(),
-                freq_hz: r.center_hz,
-                source: SourceKind::BroadcastTv,
-                measured_db: Some(r.power_dbfs),
-                expected_clear_db: c.power_dbfs,
-            });
-        }
-        bands.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
-        FrequencyProfile {
-            bands,
-            missing_sources: Vec::new(),
-        }
+        FrequencyProfile::from_sweeps(&cells, &clear_cells, &tv, &clear_tv)
     }
 
     /// The marketplace: approved nodes below the quarantine rung,

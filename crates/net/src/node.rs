@@ -3,8 +3,8 @@
 use crate::adversary::{Adversary, AdversaryKind};
 use crate::protocol::{NodeClaims, Request, Response};
 use aircal_aircraft::TrafficSim;
-use aircal_cellular::{paper_towers, CellScanner};
-use aircal_core::survey::run_survey_indexed;
+use aircal_cellular::{paper_towers, CellScanner, CellScratch};
+use aircal_core::survey::run_survey;
 use aircal_core::trust::fabricate_survey;
 use aircal_env::{GeoAccel, Scenario};
 use aircal_tv::{paper_tv_towers, TvPowerProbe};
@@ -198,7 +198,7 @@ impl NodeAgent {
                     .as_ref()
                     .map_or(*seed, |a| a.survey_seed(*seed));
                 let geo = self.geo.lock().expect("geo accel poisoned");
-                let honest = run_survey_indexed(
+                let honest = run_survey(
                     &self.scenario.world,
                     &geo.index,
                     &self.scenario.site,
@@ -225,12 +225,13 @@ impl NodeAgent {
                 let db = paper_towers(&self.scenario.world.origin);
                 let mut geo = self.geo.lock().expect("geo accel poisoned");
                 let mut out = Vec::new();
-                CellScanner::default().scan_with_geo(
+                CellScanner::default().scan_with(
                     &self.scenario.world,
                     &mut geo,
                     &self.scenario.site,
                     &db,
                     eff_seed,
+                    &mut CellScratch::default(),
                     &mut out,
                 );
                 drop(geo);

@@ -135,34 +135,10 @@ impl CaptureRenderer {
         }
     }
 
-    /// Render one cluster with throwaway scratch (allocating wrapper over
-    /// [`CaptureRenderer::render_cluster_with`]).
-    fn render_cluster(
-        &self,
-        plans: &[BurstPlan],
-        cluster: &[usize],
-        rng: &mut ChaCha8Rng,
-    ) -> RenderedWindow {
-        let mut scratch = DspScratch::new();
-        self.render_cluster_with(plans, cluster, rng, &mut scratch)
-    }
-
-    /// Render all plans into windows. Plans need not be sorted. Returns
-    /// windows sorted by start time, one per cluster of overlapping bursts.
-    ///
-    /// One shared noise RNG runs through the clusters in time order, so
-    /// this path is inherently serial; prefer [`Self::render_seeded`] for
-    /// the thread-scalable, per-cluster-seeded variant.
-    pub fn render(&self, plans: &[BurstPlan], rng: &mut ChaCha8Rng) -> Vec<RenderedWindow> {
-        self.cluster_plans(plans)
-            .iter()
-            .map(|cluster| self.render_cluster(plans, cluster, rng))
-            .collect()
-    }
-
     /// Render all plans into windows with **per-cluster** noise streams
     /// derived from `(noise_seed, cluster index)`, fanned out over up to
-    /// `threads` worker threads.
+    /// `threads` worker threads. Plans need not be sorted; windows come
+    /// back sorted by start time, one per cluster of overlapping bursts.
     ///
     /// Because each cluster's noise depends only on its index — not on
     /// how many threads ran or which rendered it first — the output is
@@ -173,34 +149,16 @@ impl CaptureRenderer {
         noise_seed: u64,
         threads: usize,
     ) -> Vec<RenderedWindow> {
+        let _span = aircal_obs::span!("render_windows");
+        let clusters = self.cluster_plans(plans);
         let mut scratches: Vec<DspScratch> =
             (0..threads.max(1)).map(|_| DspScratch::new()).collect();
         let (mut slots, mut out) = (Vec::new(), Vec::new());
-        self.render_seeded_with(plans, noise_seed, threads, &mut scratches, &mut slots, &mut out);
-        out
-    }
-
-    /// [`CaptureRenderer::render_seeded`] with caller-owned per-worker
-    /// scratch pools and result buffers (see
-    /// [`aircal_dsp::par_map_with`] for the `scratches`/`slots`/`out`
-    /// contract). Reusing them across surveys keeps the render fan-out
-    /// allocation-free per burst in steady state; output is bit-identical
-    /// to [`CaptureRenderer::render_seeded`] at any thread count.
-    pub fn render_seeded_with(
-        &self,
-        plans: &[BurstPlan],
-        noise_seed: u64,
-        threads: usize,
-        scratches: &mut [DspScratch],
-        slots: &mut Vec<Option<RenderedWindow>>,
-        out: &mut Vec<RenderedWindow>,
-    ) {
-        let _span = aircal_obs::span!("render_windows");
-        let clusters = self.cluster_plans(plans);
-        par_map_with(&clusters, threads, scratches, slots, out, |ci, cluster, scratch| {
+        par_map_with(&clusters, threads, &mut scratches, &mut slots, &mut out, |ci, cluster, scratch| {
             let mut rng = ChaCha8Rng::seed_from_u64(derive_stream_seed(noise_seed, ci as u64));
             self.render_cluster_with(plans, cluster, &mut rng, scratch)
-        })
+        });
+        out
     }
 
     /// Total samples the rendered windows would occupy (cost estimator for
@@ -217,7 +175,7 @@ impl CaptureRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::{capture_rng, FrontendConfig};
+    use crate::frontend::FrontendConfig;
 
     fn renderer() -> CaptureRenderer {
         CaptureRenderer::new(Frontend::new(FrontendConfig::bladerf_xa9(1.09e9, 2e6)))
@@ -234,15 +192,13 @@ mod tests {
 
     #[test]
     fn empty_plans_empty_windows() {
-        let mut rng = capture_rng(1);
-        assert!(renderer().render(&[], &mut rng).is_empty());
+        assert!(renderer().render_seeded(&[], 1, 1).is_empty());
     }
 
     #[test]
     fn disjoint_bursts_get_separate_windows() {
         let r = renderer();
-        let mut rng = capture_rng(2);
-        let windows = r.render(&[plan(0.0, 240, -70.0), plan(1.0, 240, -70.0)], &mut rng);
+        let windows = r.render_seeded(&[plan(0.0, 240, -70.0), plan(1.0, 240, -70.0)], 2, 1);
         assert_eq!(windows.len(), 2);
         assert!(windows[0].start_s < windows[1].start_s);
         // Each window: guard + burst + guard.
@@ -252,12 +208,8 @@ mod tests {
     #[test]
     fn overlapping_bursts_share_a_window() {
         let r = renderer();
-        let mut rng = capture_rng(3);
         // Second burst starts 50 samples (25 µs) into the first.
-        let windows = r.render(
-            &[plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0)],
-            &mut rng,
-        );
+        let windows = r.render_seeded(&[plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0)], 3, 1);
         assert_eq!(windows.len(), 1);
         let expected_len = 50 + 240 + 2 * r.guard_samples;
         assert_eq!(windows[0].samples.len(), expected_len);
@@ -267,13 +219,8 @@ mod tests {
     fn superposition_adds_power() {
         use aircal_dsp::cplx::mean_power;
         let r = renderer();
-        let mut rng1 = capture_rng(4);
-        let mut rng2 = capture_rng(4);
-        let single = r.render(&[plan(0.0, 2_000, -60.0)], &mut rng1);
-        let double = r.render(
-            &[plan(0.0, 2_000, -60.0), plan(0.0, 2_000, -60.0)],
-            &mut rng2,
-        );
+        let single = r.render_seeded(&[plan(0.0, 2_000, -60.0)], 4, 1);
+        let double = r.render_seeded(&[plan(0.0, 2_000, -60.0), plan(0.0, 2_000, -60.0)], 4, 1);
         let g = r.guard_samples;
         let p1 = mean_power(&single[0].samples[g..g + 2_000]);
         let p2 = mean_power(&double[0].samples[g..g + 2_000]);
@@ -284,10 +231,10 @@ mod tests {
     #[test]
     fn unsorted_plans_sorted_windows() {
         let r = renderer();
-        let mut rng = capture_rng(5);
-        let windows = r.render(
+        let windows = r.render_seeded(
             &[plan(2.0, 100, -70.0), plan(0.5, 100, -70.0), plan(1.2, 100, -70.0)],
-            &mut rng,
+            5,
+            1,
         );
         assert_eq!(windows.len(), 3);
         for w in windows.windows(2) {
@@ -298,8 +245,7 @@ mod tests {
     #[test]
     fn window_timing_accounts_for_guard() {
         let r = renderer();
-        let mut rng = capture_rng(6);
-        let windows = r.render(&[plan(1.0, 240, -70.0)], &mut rng);
+        let windows = r.render_seeded(&[plan(1.0, 240, -70.0)], 6, 1);
         let guard_s = r.guard_samples as f64 / 2e6;
         assert!((windows[0].start_s - (1.0 - guard_s)).abs() < 1e-9);
     }
@@ -320,22 +266,6 @@ mod tests {
                 assert_eq!(a.start_s, b.start_s);
                 assert_eq!(a.samples, b.samples);
             }
-        }
-    }
-
-    /// Seeded rendering produces the same cluster geometry as the
-    /// shared-RNG path (same windows, same lengths, same start times).
-    #[test]
-    fn render_seeded_matches_render_geometry() {
-        let r = renderer();
-        let plans = [plan(0.0, 240, -70.0), plan(25e-6, 240, -70.0), plan(1.0, 100, -72.0)];
-        let mut rng = capture_rng(7);
-        let shared = r.render(&plans, &mut rng);
-        let seeded = r.render_seeded(&plans, 7, 4);
-        assert_eq!(shared.len(), seeded.len());
-        for (a, b) in shared.iter().zip(&seeded) {
-            assert_eq!(a.start_s, b.start_s);
-            assert_eq!(a.samples.len(), b.samples.len());
         }
     }
 

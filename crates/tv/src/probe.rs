@@ -70,7 +70,7 @@ pub struct TvMeasurement {
     pub obstruction_db: f64,
 }
 
-/// Reusable working memory for [`TvPowerProbe::measure_with`]: the
+/// Reusable working memory for [`TvPowerProbe::measure_with_path`]: the
 /// band-power meter (filter design + FFT plan, reset bit-identically
 /// between channels) and the rendered IQ buffer. One instance per worker;
 /// a scratch is tied to the probe config that first used it.
@@ -100,41 +100,14 @@ impl TvPowerProbe {
         synthesize_8vsb(self.config.capture_len, self.config.sample_rate_hz)
     }
 
-    /// Measure one station from `site` within `world`. Thin allocating
-    /// wrapper over [`TvPowerProbe::measure_with`].
-    pub fn measure(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        tower: &TvTower,
-        seed: u64,
-    ) -> TvMeasurement {
-        let waveform = self.reference_waveform();
-        let mut scratch = TvScratch::default();
-        self.measure_with(world, site, tower, seed, &waveform, &mut scratch)
-    }
-
-    /// [`TvPowerProbe::measure`] with a shared pre-synthesized waveform
-    /// (see [`TvPowerProbe::reference_waveform`]) and caller-owned working
-    /// memory. Once the scratch's meter and IQ buffer are warm, repeated
-    /// measurements are allocation-free apart from the station-name string
-    /// in the result. Output is identical to [`TvPowerProbe::measure`].
-    pub fn measure_with(
-        &self,
-        world: &World,
-        site: &SensorSite,
-        tower: &TvTower,
-        seed: u64,
-        waveform: &[Cplx],
-        scratch: &mut TvScratch,
-    ) -> TvMeasurement {
-        let path = world.path_profile(site, &tower.position, tower.channel.center_hz());
-        self.measure_with_path(&path, site, tower, seed, waveform, scratch)
-    }
-
-    /// [`TvPowerProbe::measure_with`] with the propagation path already in
-    /// hand — the sweep entry points profile the static towers through the
+    /// Measure one station over its propagation path `path`, with a
+    /// shared pre-synthesized waveform (see
+    /// [`TvPowerProbe::reference_waveform`]) and caller-owned working
+    /// memory. The sweeps resolve the static towers' paths through the
     /// world's spatial index and memo, then hand each worker its path.
+    /// Once the scratch's meter and IQ buffer are warm, repeated
+    /// measurements are allocation-free apart from the station-name
+    /// string in the result.
     pub fn measure_with_path(
         &self,
         path: &PathProfile,
@@ -349,6 +322,35 @@ mod tests {
                 indoor[i].power_dbfs
             );
         }
+    }
+
+    /// The one equivalence test for the probe: a cold and a warm
+    /// `sweep_with_geo` (reused accelerator; one worker, so one scratch
+    /// whose meter is reset between channels) both match a reference
+    /// built on the brute-force `World::path_profile` with one fresh
+    /// scratch per channel.
+    #[test]
+    fn sweep_with_geo_matches_brute_force_reference() {
+        let s = Scenario::build(ScenarioKind::BehindWindow);
+        let towers = paper_tv_towers(&s.world.origin);
+        let probe = TvPowerProbe::new(TvProbeConfig {
+            parallelism: 1,
+            ..TvProbeConfig::default()
+        });
+        let waveform = probe.reference_waveform();
+        let reference: Vec<TvMeasurement> = towers
+            .iter()
+            .map(|t| {
+                let path = s.world.path_profile(&s.site, &t.position, t.channel.center_hz());
+                probe.measure_with_path(&path, &s.site, t, 4, &waveform, &mut TvScratch::default())
+            })
+            .collect();
+        let mut accel = s.world.accel();
+        let cold = probe.sweep_with_geo(&s.world, &mut accel, &s.site, &towers, 4);
+        let warm = probe.sweep_with_geo(&s.world, &mut accel, &s.site, &towers, 4);
+        assert_eq!(reference, cold, "cold sweep diverged");
+        assert_eq!(reference, warm, "warm sweep diverged");
+        assert_eq!(accel.cache.hits(), towers.len() as u64);
     }
 
     #[test]

@@ -47,8 +47,15 @@ fn main() {
     );
     let cells = aircal_cellular::paper_towers(&scenario.world.origin);
     let tv = aircal_tv::paper_tv_towers(&scenario.world.origin);
-    let profile =
-        FrequencyProfiler::default().profile(&scenario.world, &scenario.site, &cells, &tv, seed);
+    let index = scenario.world.index();
+    let profile = FrequencyProfiler::default().profile(
+        &scenario.world,
+        &mut scenario.world.accel(),
+        &scenario.site,
+        &cells,
+        &tv,
+        seed,
+    );
 
     let faults: [(&str, FrontendFault); 4] = [
         ("healthy", FrontendFault::None),
@@ -70,7 +77,7 @@ fn main() {
             fault,
             ..SurveyConfig::quick()
         };
-        let survey = run_survey(&scenario.world, &scenario.site, &traffic, &cfg, seed);
+        let survey = run_survey(&scenario.world, &index, &scenario.site, &traffic, &cfg, seed);
         let fov = FovEstimator::default().estimate(&survey.points);
         let trust =
             TrustAuditor::default().audit(&survey, &profile, &traffic, fov.open_fraction());
@@ -80,6 +87,7 @@ fn main() {
     // The cheater: an operator who claims to have heard everything.
     let honest = run_survey(
         &scenario.world,
+        &index,
         &scenario.site,
         &traffic,
         &SurveyConfig::quick(),

@@ -26,6 +26,7 @@ fn main() {
         );
         let result = run_survey(
             &scenario.world,
+            &scenario.world.index(),
             &scenario.site,
             &traffic,
             &SurveyConfig::default(),

@@ -14,6 +14,10 @@ cargo build --release --workspace --bins --benches
 echo "== tests (workspace) =="
 cargo test --workspace --release -q
 
+echo "== perfbench (builds against the public API + its unit tests) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --release -- -D warnings
 

@@ -16,7 +16,7 @@
 //! and commit the updated `tests/fixtures/*.json` alongside the change.
 
 use aircal::adsb::me::MePayload;
-use aircal::adsb::{cpr, ppm, AdsbFrame, Decoder, IcaoAddress};
+use aircal::adsb::{cpr, ppm, AdsbFrame, DecodeScratch, Decoder, IcaoAddress};
 use aircal::core::freqprofile::FrequencyProfiler;
 use aircal::env::{Scenario, ScenarioKind};
 use aircal::sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
@@ -94,10 +94,12 @@ fn rendered_capture() -> Vec<aircal::sdr::RenderedWindow> {
 #[test]
 fn golden_adsb_decode() {
     let decoder = Decoder::default();
-    let messages: Vec<_> = rendered_capture()
-        .iter()
-        .flat_map(|w| decoder.scan(&w.samples, w.start_s))
-        .collect();
+    let (mut scratch, mut msgs) = (DecodeScratch::default(), Vec::new());
+    let mut messages = Vec::new();
+    for w in rendered_capture() {
+        decoder.scan_with(&w.samples, w.start_s, &mut scratch, &mut msgs);
+        messages.append(&mut msgs);
+    }
     assert!(
         messages.len() >= 20,
         "capture should decode almost all 24 bursts, got {}",
@@ -145,7 +147,8 @@ fn golden_frequency_profile() {
     let s = Scenario::build(ScenarioKind::Rooftop);
     let cells = aircal::cellular::paper_towers(&s.world.origin);
     let tv = paper_tv_towers(&s.world.origin);
-    let profile = FrequencyProfiler::default().profile(&s.world, &s.site, &cells, &tv, SEED);
+    let profile =
+        FrequencyProfiler::default().profile(&s.world, &mut s.world.accel(), &s.site, &cells, &tv, SEED);
     let json = serde_json::to_string_pretty(&profile).unwrap() + "\n";
     check_golden("frequency_profile.json", &json);
 }

@@ -15,6 +15,7 @@ fn paper_survey(scenario: &Scenario, seed: u64) -> SurveyResult {
     );
     run_survey(
         &scenario.world,
+        &scenario.world.index(),
         &scenario.site,
         &traffic,
         &SurveyConfig::default(),

@@ -5,13 +5,11 @@
 
 use aircal::adsb::cpr::{decode_global, CprFormat, CprPair};
 use aircal::adsb::me::MePayload;
-use aircal::adsb::{Decoder, ADSB_FREQ_HZ, SAMPLE_RATE_HZ};
+use aircal::adsb::{DecodeScratch, Decoder, ADSB_FREQ_HZ, SAMPLE_RATE_HZ};
 use aircal::aircraft::{TrafficConfig, TrafficSim, TransponderSchedule};
 use aircal::geo::LatLon;
 use aircal::rfprop::{LinkBudget, PathProfile};
 use aircal::sdr::{BurstPlan, CaptureRenderer, Frontend, FrontendConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn berkeley() -> LatLon {
     LatLon::surface(37.8716, -122.2727)
@@ -35,7 +33,6 @@ fn clean_channel_full_stack() {
 
     let frontend = Frontend::new(FrontendConfig::bladerf_xa9(ADSB_FREQ_HZ, SAMPLE_RATE_HZ));
     let renderer = CaptureRenderer::new(frontend);
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
 
     let plans: Vec<BurstPlan> = emissions
         .iter()
@@ -52,9 +49,11 @@ fn clean_channel_full_stack() {
         .collect();
 
     let decoder = Decoder::default();
+    let (mut scratch, mut msgs) = (DecodeScratch::default(), Vec::new());
     let mut decoded = Vec::new();
-    for w in renderer.render(&plans, &mut rng) {
-        decoded.extend(decoder.scan(&w.samples, w.start_s));
+    for w in renderer.render_seeded(&plans, 77, 1) {
+        decoder.scan_with(&w.samples, w.start_s, &mut scratch, &mut msgs);
+        decoded.append(&mut msgs);
     }
     // Clean LOS at ≤40 km: essentially everything decodes (rare overlap
     // collisions may eat a couple of bursts).
@@ -114,8 +113,8 @@ fn decode_count_monotone_in_obstruction() {
     let renderer = CaptureRenderer::new(frontend);
     let decoder = Decoder::default();
 
-    let decoded_with_extra_loss = |loss_db: f64| -> usize {
-        let mut rng = ChaCha8Rng::seed_from_u64(78);
+    let (mut scratch, mut msgs) = (DecodeScratch::default(), Vec::new());
+    let mut decoded_with_extra_loss = |loss_db: f64| -> usize {
         let plans: Vec<BurstPlan> = emissions
             .iter()
             .map(|e| {
@@ -132,9 +131,12 @@ fn decode_count_monotone_in_obstruction() {
             })
             .collect();
         renderer
-            .render(&plans, &mut rng)
+            .render_seeded(&plans, 78, 1)
             .iter()
-            .map(|w| decoder.scan(&w.samples, w.start_s).len())
+            .map(|w| {
+                decoder.scan_with(&w.samples, w.start_s, &mut scratch, &mut msgs);
+                msgs.len()
+            })
             .sum()
     };
 
